@@ -1,13 +1,13 @@
 """Benchmark: the batched entropic kernels vs the per-cell solve loop.
 
-The compute-backend PR's acceptance shape: a ``N_CELLS``-cell same-shape
-design batch (the ``test_batched_scaling`` fixture geometry, default
-``n_Q = 50``) solved entropically through two paths per solver:
+A ``N_CELLS``-cell same-shape design batch (the ``test_batched_scaling``
+fixture geometry, default ``n_Q = 50``) solved entropically through two
+paths per solver:
 
 * ``percell`` — the historical per-cell ``solve(method=...)`` loop
   (serial scipy-logsumexp / matmul iterations);
-* ``batched`` — one ``solve_many(..., backend="numpy")`` call hitting
-  the stacked ``(B, n, m)`` kernel with per-problem convergence masking
+* ``batched`` — one ``solve_many(...)`` call hitting the stacked
+  ``(B, n, m)`` kernel with per-problem convergence masking
   (`repro.ot.sinkhorn.batched_sinkhorn` / ``batched_sinkhorn_log``).
 
 Expectations: the batched ``sinkhorn_log`` path is **>= 3x** the
@@ -69,8 +69,7 @@ def measurements(cell_batch):
                 solve(problem, method=m, epsilon=EPSILON, tol=TOL)
                 for problem in cell_batch],
             "batched": lambda m=method: solve_many(
-                cell_batch, method=m, backend="numpy", epsilon=EPSILON,
-                tol=TOL),
+                cell_batch, method=m, epsilon=EPSILON, tol=TOL),
         }
         for fn in paths.values():
             fn()  # warm the path (imports, allocator) before timing
@@ -105,7 +104,7 @@ def test_record_results(measurements):
     from _results import RESULTS_DIR, save_result
 
     lines = [
-        "Batched entropic kernels on the numpy backend — one "
+        "Batched vs per-cell entropic kernels — one "
         f"shared-grid design batch ({N_CELLS} cells, n_Q = {N_STATES}, "
         f"epsilon = {EPSILON}, tol = {TOL})",
         "",
@@ -115,7 +114,6 @@ def test_record_results(measurements):
         "n_states": N_STATES,
         "epsilon": EPSILON,
         "tol": TOL,
-        "backend": "numpy",
         "methods": {},
     }
     for method in METHODS:

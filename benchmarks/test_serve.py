@@ -302,16 +302,17 @@ def test_record_results(http_runs, batching_timings, prepared_timings):
         lines.append(
             f"  workers={workers}: p50 {p50:7.2f}ms   p99 {p99:7.2f}ms   "
             f"{run['rows_per_s']:,.0f} rows/s   errors {run['errors']}")
-    if (os.cpu_count() or 1) < max(WORKER_COUNTS):
-        lines.append(
-            "  (worker scaling needs as many cores as workers; on this "
-            "box extra workers only add fork + page-cache sharing, not "
-            "throughput)")
         payload_runs[str(workers)] = {
             "p50_ms": p50, "p99_ms": p99,
             "rows_per_s": run["rows_per_s"],
             "errors": run["errors"], "n_requests": N_REQUESTS,
         }
+    assert sorted(payload_runs) == sorted(str(w) for w in WORKER_COUNTS)
+    if (os.cpu_count() or 1) < max(WORKER_COUNTS):
+        lines.append(
+            "  (worker scaling needs as many cores as workers; on this "
+            "box extra workers only add fork + page-cache sharing, not "
+            "throughput)")
     batch_speedup = (batching_timings["sequential_s"]
                      / batching_timings["batched_s"])
     prepared_speedup = (prepared_timings["slow_s"]

@@ -1,10 +1,6 @@
 """Core contribution: distributional OT repair (Algorithms 1 & 2) and
 baselines."""
 
-from .backend import (BACKEND_NAMES, ArrayBackend, ArrayAPIBackend,
-                      CupyBackend, NumpyBackend, TorchBackend,
-                      available_backends, get_backend,
-                      register_array_backend)
 from .design import SOLVERS, design_feature_plan, design_repair
 from .diagnostics import CellDiagnostic, DriftMonitor, DriftReport
 from .executor import (EXECUTOR_NAMES, Executor, ProcessExecutor,
@@ -23,14 +19,10 @@ from .repair import (DistributionalRepairer, repair_dataset,
                      repair_feature_values)
 
 __all__ = [
-    "BACKEND_NAMES",
     "EXECUTOR_NAMES",
     "PLAN_DTYPES",
     "SOLVERS",
-    "ArrayAPIBackend",
-    "ArrayBackend",
     "CellDiagnostic",
-    "CupyBackend",
     "DistributionalRepairer",
     "DriftMonitor",
     "DriftReport",
@@ -43,7 +35,6 @@ __all__ = [
     "JointRepairPlan",
     "MongeFeatureMap",
     "MongeRepairer",
-    "NumpyBackend",
     "PartialRepairer",
     "ProcessExecutor",
     "RepairPipeline",
@@ -52,8 +43,6 @@ __all__ = [
     "SerialExecutor",
     "SubgroupLabelModel",
     "ThreadExecutor",
-    "TorchBackend",
-    "available_backends",
     "dampen_repair",
     "design_feature_plan",
     "design_joint_repair",
@@ -61,9 +50,7 @@ __all__ = [
     "em_refine",
     "geometric_repair_1d",
     "geometric_repair_multivariate",
-    "get_backend",
     "load_plan",
-    "register_array_backend",
     "repair_damage",
     "resolve_executor",
     "save_plan",

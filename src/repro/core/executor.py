@@ -12,12 +12,13 @@ the design/CLI layers use:
     In-line ``map`` in the calling thread — the default, zero overhead.
 ``thread``
     A ``ThreadPoolExecutor`` fan-out.  The right choice for solvers that
-    release the GIL in BLAS/scipy code (the HiGHS LP, the screened
-    hybrid's screen and restricted solve, Sinkhorn's dense linear
-    algebra): no pickling, shared memory, cheap start-up.
+    release the GIL in BLAS/scipy code (the HiGHS LP, Sinkhorn's dense
+    linear algebra): no pickling, shared memory, cheap start-up.
 ``process``
     A ``ProcessPoolExecutor`` fan-out — today's ``n_jobs`` semantics for
-    pure-Python-bound work.  Payloads and results must pickle.
+    pure-Python-bound work (the screened hybrid, whose restricted solve
+    is the pure-Python network simplex).  Payloads and results must
+    pickle.
 
 Every strategy runs the same deterministic per-task computation, so the
 three produce **bit-identical** results; only wall time differs.  Pools
@@ -47,8 +48,7 @@ EXECUTOR_NAMES = ("serial", "thread", "process")
 
 #: Registered solvers whose hot loop releases the GIL (scipy/HiGHS LP or
 #: dense BLAS), making the thread strategy the better ``"auto"`` pick.
-_THREAD_BOUND_SOLVERS = frozenset(
-    {"lp", "screened", "sinkhorn", "sinkhorn_log"})
+_THREAD_BOUND_SOLVERS = frozenset({"lp", "sinkhorn", "sinkhorn_log"})
 
 
 class Executor:
@@ -141,9 +141,9 @@ def resolve_executor(spec=None, *, n_jobs: int | None = None,
 
     >>> resolve_executor().name
     'serial'
-    >>> resolve_executor("auto", n_jobs=4, solver="screened").name
+    >>> resolve_executor("auto", n_jobs=4, solver="sinkhorn").name
     'thread'
-    >>> resolve_executor("auto", n_jobs=4, solver="exact").name
+    >>> resolve_executor("auto", n_jobs=4, solver="screened").name
     'process'
     >>> resolve_executor("thread", n_jobs=2).n_jobs
     2

@@ -54,10 +54,10 @@ from .onedim import (batched_north_west_corner, monotone_map,
                      north_west_corner, north_west_corner_support,
                      quantile_function, solve_1d, wasserstein_1d)
 from .problem import OTBatch, OTProblem, OTResult
-from .registry import (Solver, available_solvers, backend_support,
-                       batch_support, filter_opts, register_batch_solver,
-                       register_solver, resolve_solver,
-                       solver_descriptions, unregister_solver)
+from .registry import (Solver, available_solvers, batch_support,
+                       filter_opts, register_batch_solver, register_solver,
+                       resolve_solver, solver_descriptions,
+                       unregister_solver)
 from .sinkhorn import (SinkhornResult, batched_sinkhorn,
                        batched_sinkhorn_log, sinkhorn, sinkhorn_log,
                        solve_sinkhorn)
@@ -76,7 +76,6 @@ __all__ = [
     "TransportPlan",
     "auto_method",
     "available_solvers",
-    "backend_support",
     "barycenter_1d",
     "batch_support",
     "batched_north_west_corner",

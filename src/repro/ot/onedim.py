@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import as_1d_array, as_probability_vector
-from ..core.backend import get_backend
 from ..exceptions import ValidationError
 from .coupling import TransportPlan
 
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 
-def north_west_corner(source_weights, target_weights, *,
-                      backend=None) -> np.ndarray:
+def north_west_corner(source_weights, target_weights) -> np.ndarray:
     """Greedy north-west-corner coupling of two probability vectors.
 
     Produces the unique monotone coupling: the plan obtained by walking the
@@ -42,27 +40,11 @@ def north_west_corner(source_weights, target_weights, *,
 
     Returns a dense ``(n, m)`` matrix; the plan has at most ``n + m - 1``
     non-zero entries.
-
-    ``backend`` selects the compute backend (see
-    :func:`repro.core.backend.get_backend`).  The default (``None``)
-    keeps the historical sequential staircase walk, bit-identical to
-    every release so far; any explicit backend — including ``"numpy"``
-    — routes through the vectorised merged-CDF kernel
-    (:func:`batched_north_west_corner` at ``B = 1``), whose tie-handling
-    round-off may differ in the last ulp.
     """
     mu = as_probability_vector(source_weights, name="source_weights",
                                normalize=True)
     nu = as_probability_vector(target_weights, name="target_weights",
                                normalize=True)
-    if backend is not None:
-        nx = get_backend(backend)
-        rows, cols, masses = batched_north_west_corner(
-            mu[None, :], nu[None, :], backend=nx)
-        flat = (nx.to_numpy(rows[0]) * nu.size + nx.to_numpy(cols[0]))
-        return np.bincount(flat, weights=nx.to_numpy(masses[0]),
-                           minlength=mu.size * nu.size).reshape(mu.size,
-                                                                nu.size)
     rows, cols, masses = _staircase_walk(mu, nu)
     plan = np.zeros((mu.size, nu.size))
     plan[rows, cols] = masses
@@ -128,8 +110,7 @@ def north_west_corner_support(source_weights,
     return rows, cols
 
 
-def batched_north_west_corner(source_weight_stack, target_weight_stack,
-                              *, backend=None
+def batched_north_west_corner(source_weight_stack, target_weight_stack
                               ) -> tuple[np.ndarray, np.ndarray,
                                          np.ndarray]:
     """Monotone couplings of ``B`` weight-vector pairs in one dispatch.
@@ -139,24 +120,13 @@ def batched_north_west_corner(source_weight_stack, target_weight_stack,
     ``n_Q`` grid): instead of walking each staircase in a Python loop,
     the two cumulative distributions of every problem are merged and
     sorted **once** across the whole ``(B, n + m)`` stack — a single
-    chain of NumPy array operations, which is exactly the shape an
-    array-API/GPU backend can later take over unchanged.
+    chain of NumPy array operations.
 
     Parameters
     ----------
     source_weight_stack, target_weight_stack:
         ``(B, n)`` / ``(B, m)`` non-negative weight stacks; each row is
         normalised to a probability vector.
-    backend:
-        Compute backend spec (see
-        :func:`repro.core.backend.get_backend`): ``None``/``"auto"`` for
-        the bit-identical numpy reference, ``"torch"``/``"cupy"`` for
-        device execution, ``"array_api_strict"`` for the CI conformance
-        run.  The whole traversal — cumulative sums, the merged-CDF
-        stable sort, the index arithmetic — runs as backend array
-        operations; only the returned arrays are backend-native (callers
-        convert at the :class:`~repro.ot.coupling.TransportPlan`
-        boundary via ``backend.to_numpy``).
 
     Returns
     -------
@@ -165,13 +135,11 @@ def batched_north_west_corner(source_weight_stack, target_weight_stack,
         places ``masses[b, t]`` at ``(rows[b, t], cols[b, t])``.  Entries
         are in staircase order; tie segments carry zero mass (scatter
         with accumulation, e.g. ``np.bincount``, not plain assignment).
-        Arrays are native to the selected backend (numpy for the
-        default).
 
     Every per-row operation is independent of the batch size, so the
     result for one problem is bit-identical whether it is solved alone
-    (``B = 1`` — how the serial ``"exact"`` solver now runs) or inside
-    any larger batch; shuffling the batch permutes the output rows and
+    (``B = 1`` — how the serial ``"exact"`` solver runs) or inside any
+    larger batch; shuffling the batch permutes the output rows and
     changes nothing else.
 
     >>> rows, cols, masses = batched_north_west_corner(
@@ -182,30 +150,27 @@ def batched_north_west_corner(source_weight_stack, target_weight_stack,
     >>> masses[0, keep].tolist()
     [0.25, 0.25, 0.5]
     """
-    nx = get_backend(backend)
-    mu = nx.asarray(source_weight_stack, dtype=nx.float64)
-    nu = nx.asarray(target_weight_stack, dtype=nx.float64)
+    mu = np.asarray(source_weight_stack, dtype=np.float64)
+    nu = np.asarray(target_weight_stack, dtype=np.float64)
     if mu.ndim == 1:
-        mu = nx.reshape(mu, (1, -1))
+        mu = mu.reshape(1, -1)
     if nu.ndim == 1:
-        nu = nx.reshape(nu, (1, -1))
+        nu = nu.reshape(1, -1)
     if mu.ndim != 2 or nu.ndim != 2:
         raise ValidationError(
             "weight stacks must be 2-D (B, n)/(B, m) arrays, got shapes "
-            f"{tuple(mu.shape)} and {tuple(nu.shape)}")
+            f"{mu.shape} and {nu.shape}")
     if mu.shape[0] != nu.shape[0]:
         raise ValidationError(
             f"weight stacks disagree on the batch size ({mu.shape[0]} != "
             f"{nu.shape[0]})")
     for name, stack in (("source", mu), ("target", nu)):
-        if not bool(nx.to_numpy(nx.all(nx.isfinite(stack)))) \
-                or bool(nx.to_numpy(nx.any(stack < 0.0))):
+        if not np.all(np.isfinite(stack)) or np.any(stack < 0.0):
             raise ValidationError(
                 f"{name} weight stack must be finite and non-negative")
-    totals_mu = nx.sum(mu, axis=1, keepdims=True)
-    totals_nu = nx.sum(nu, axis=1, keepdims=True)
-    if bool(nx.to_numpy(nx.any(totals_mu <= 0.0))) \
-            or bool(nx.to_numpy(nx.any(totals_nu <= 0.0))):
+    totals_mu = np.sum(mu, axis=1, keepdims=True)
+    totals_nu = np.sum(nu, axis=1, keepdims=True)
+    if np.any(totals_mu <= 0.0) or np.any(totals_nu <= 0.0):
         raise ValidationError(
             "every batched weight vector needs positive total mass")
     B = mu.shape[0]
@@ -213,31 +178,30 @@ def batched_north_west_corner(source_weight_stack, target_weight_stack,
 
     # Clamp the endpoints (cf. wasserstein_1d): cumsum round-off can land
     # at 1 ± 1e-16, which would otherwise leak a stray mass segment.
-    one = nx.ones((B, 1), dtype=nx.float64)
-    cdf_mu = nx.concat([nx.cumsum(mu / totals_mu, axis=1)[:, :-1], one],
-                       axis=1)
-    cdf_nu = nx.concat([nx.cumsum(nu / totals_nu, axis=1)[:, :-1], one],
-                       axis=1)
+    one = np.ones((B, 1))
+    cdf_mu = np.concatenate([np.cumsum(mu / totals_mu, axis=1)[:, :-1], one],
+                            axis=1)
+    cdf_nu = np.concatenate([np.cumsum(nu / totals_nu, axis=1)[:, :-1], one],
+                            axis=1)
 
     # Merge the two CDFs: each sorted level closes one staircase segment.
     # A stable sort with the source entries first resolves ties so that
     # tie-induced duplicate segments carry zero mass.
-    merged = nx.concat([cdf_mu, cdf_nu], axis=1)
-    order = nx.argsort(merged, axis=1)
-    levels = nx.take_along_axis(merged, order, axis=1)
-    from_mu = nx.astype(order < n, nx.int64)
+    merged = np.concatenate([cdf_mu, cdf_nu], axis=1)
+    order = np.argsort(merged, axis=1, kind="stable")
+    levels = np.take_along_axis(merged, order, axis=1)
+    from_mu = (order < n).astype(np.int64)
 
     # Segment t of problem b lives in source bin #{source levels < its
     # endpoint} and target bin #{target levels < its endpoint}; with the
     # running counts that is one subtraction per side.  Clipping only
     # ever touches zero-mass tie segments at the boundary.
-    count_mu = nx.cumsum(from_mu, axis=1)
-    count_nu = nx.reshape(nx.arange(1, n + m + 1, dtype=nx.int64),
-                          (1, -1)) - count_mu
-    rows = nx.minimum(count_mu - from_mu, n - 1)
-    cols = nx.minimum(count_nu - (1 - from_mu), m - 1)
-    masses = levels - nx.concat(
-        [nx.zeros((B, 1), dtype=nx.float64), levels[:, :-1]], axis=1)
+    count_mu = np.cumsum(from_mu, axis=1)
+    count_nu = np.arange(1, n + m + 1, dtype=np.int64) - count_mu
+    rows = np.minimum(count_mu - from_mu, n - 1)
+    cols = np.minimum(count_nu - (1 - from_mu), m - 1)
+    masses = levels - np.concatenate([np.zeros((B, 1)), levels[:, :-1]],
+                                     axis=1)
     return rows, cols, masses
 
 

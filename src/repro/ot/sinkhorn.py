@@ -18,14 +18,10 @@ Two numerical regimes are provided:
 * a log-domain stabilised iteration that survives very small ``ε`` where the
   Gibbs kernel underflows.
 
-Both run on a pluggable compute backend
-(:func:`repro.core.backend.get_backend`): the default numpy backend is
-bit-identical to the historical implementation, and ``backend="torch"``
-/ ``"cupy"`` move the dense linear algebra to a device.  The *batched*
-variants (:func:`batched_sinkhorn` / :func:`batched_sinkhorn_log`) run a
-whole stack of same-shape problems as one ``(B, n, m)`` einsum chain
-with per-problem convergence masking — the kernels behind
-``solve_many(method="sinkhorn"/"sinkhorn_log")``.
+The *batched* variants (:func:`batched_sinkhorn` /
+:func:`batched_sinkhorn_log`) run a whole stack of same-shape problems as
+one ``(B, n, m)`` einsum chain with per-problem convergence masking — the
+kernels behind ``solve_many(method="sinkhorn"/"sinkhorn_log")``.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .._validation import as_probability_vector, check_positive_int
-from ..core.backend import get_backend
 from ..exceptions import ConvergenceError, ValidationError
 from .coupling import TransportPlan, marginal_residual
 
@@ -82,7 +77,7 @@ class SinkhornResult:
 def sinkhorn(cost: np.ndarray, source_weights, target_weights, *,
              epsilon: float = 1e-2, max_iter: int = 10_000,
              tol: float = 1e-9, raise_on_failure: bool = True,
-             init=None, backend=None) -> SinkhornResult:
+             init=None) -> SinkhornResult:
     """Probability-domain Sinkhorn-Knopp iteration.
 
     Parameters
@@ -101,11 +96,6 @@ def sinkhorn(cost: np.ndarray, source_weights, target_weights, *,
         iteration (e.g. the :attr:`SinkhornResult.scalings` of a
         previous solve at a nearby ``epsilon``); default cold start from
         all-ones.
-    backend:
-        Compute backend spec (:func:`repro.core.backend.get_backend`).
-        The default numpy backend performs exactly the historical
-        operations (``matmul``, :func:`scipy.special.logsumexp` in the
-        fallback) — results are bit-identical to previous releases.
     """
     cost = _check_cost(cost)
     mu = as_probability_vector(source_weights, name="source_weights",
@@ -116,41 +106,35 @@ def sinkhorn(cost: np.ndarray, source_weights, target_weights, *,
     if epsilon <= 0.0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     max_iter = check_positive_int(max_iter, name="max_iter")
-    nx = get_backend(backend)
 
     # Rescale the cost so the kernel conditioning is resolution-independent
     # (the strength actually applied to the unscaled cost is reported as
     # ``effective_epsilon``).
     scale = max(float(np.max(cost)), 1e-300)
     effective_epsilon = epsilon * scale
-    cost_d = nx.asarray(cost, dtype=nx.float64)
-    mu_d = nx.asarray(mu, dtype=nx.float64)
-    nu_d = nx.asarray(nu, dtype=nx.float64)
-    kernel = nx.exp(-cost_d / effective_epsilon)
-    u, v = _initial_scalings(nx, init, mu.size, nu.size)
+    kernel = np.exp(-cost / effective_epsilon)
+    u, v = _initial_scalings(init, mu.size, nu.size)
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        kv = nx.matmul(kernel, v)
-        if bool(nx.to_numpy(nx.any(kv <= 1e-300))):
+        kv = kernel @ v
+        if np.any(kv <= 1e-300):
             # Kernel underflow: defer to the log-domain variant.
             return sinkhorn_log(cost, mu, nu, epsilon=epsilon * scale,
                                 max_iter=max_iter, tol=tol,
-                                raise_on_failure=raise_on_failure,
-                                backend=nx)
-        u = mu_d / kv
-        ktu = nx.matmul(nx.transpose(kernel), u)
-        v = nu_d / nx.maximum(ktu, 1e-300)
+                                raise_on_failure=raise_on_failure)
+        u = mu / kv
+        ktu = kernel.T @ u
+        v = nu / np.maximum(ktu, 1e-300)
         if iteration % 5 == 0 or iteration == max_iter:
-            plan = nx.to_numpy((u[:, None] * kernel) * v[None, :])
+            plan = (u[:, None] * kernel) * v[None, :]
             residual = marginal_residual(plan, mu, nu)
             if residual <= tol:
                 return SinkhornResult(plan, iteration, residual, True,
                                       effective_epsilon=effective_epsilon,
-                                      scalings=(nx.to_numpy(u),
-                                                nx.to_numpy(v)))
-    plan = nx.to_numpy((u[:, None] * kernel) * v[None, :])
+                                      scalings=(u, v))
+    plan = (u[:, None] * kernel) * v[None, :]
     residual = marginal_residual(plan, mu, nu)
-    scalings = (nx.to_numpy(u), nx.to_numpy(v))
+    scalings = (u, v)
     if residual <= tol:
         return SinkhornResult(plan, max_iter, residual, True,
                               effective_epsilon=effective_epsilon,
@@ -164,36 +148,34 @@ def sinkhorn(cost: np.ndarray, source_weights, target_weights, *,
                           scalings=scalings)
 
 
-def _initial_scalings(nx, init, n: int, m: int) -> tuple:
-    """Validated ``(u, v)`` start vectors on the backend (ones when no
-    warm start is supplied)."""
+def _initial_scalings(init, n: int, m: int) -> tuple:
+    """Validated ``(u, v)`` start vectors (ones when no warm start is
+    supplied)."""
     if init is None:
-        return (nx.ones((n,), dtype=nx.float64),
-                nx.ones((m,), dtype=nx.float64))
+        return np.ones(n), np.ones(m)
     try:
         u0, v0 = init
     except (TypeError, ValueError):
         raise ValidationError(
             "init must be a (u0, v0) pair of scaling vectors") from None
-    u0 = nx.asarray(u0, dtype=nx.float64)
-    v0 = nx.asarray(v0, dtype=nx.float64)
-    if tuple(u0.shape) != (n,) or tuple(v0.shape) != (m,):
+    u0 = np.asarray(u0, dtype=np.float64)
+    v0 = np.asarray(v0, dtype=np.float64)
+    if u0.shape != (n,) or v0.shape != (m,):
         raise ValidationError(
-            f"init scaling shapes {tuple(u0.shape)}/{tuple(v0.shape)} do "
+            f"init scaling shapes {u0.shape}/{v0.shape} do "
             f"not match the marginals ({n},)/({m},)")
     return u0, v0
 
 
 def sinkhorn_log(cost: np.ndarray, source_weights, target_weights, *,
                  epsilon: float = 1e-2, max_iter: int = 10_000,
-                 tol: float = 1e-9, raise_on_failure: bool = True,
-                 backend=None) -> SinkhornResult:
+                 tol: float = 1e-9,
+                 raise_on_failure: bool = True) -> SinkhornResult:
     """Log-domain stabilised Sinkhorn.
 
     Maintains dual potentials ``f, g`` and performs soft-min updates with
-    the backend's ``logsumexp`` (:func:`scipy.special.logsumexp` on the
-    default numpy backend — bit-identical to previous releases); immune
-    to kernel underflow at small ``epsilon``.
+    :func:`scipy.special.logsumexp`; immune to kernel underflow at small
+    ``epsilon``.
     """
     cost = _check_cost(cost)
     mu = as_probability_vector(source_weights, name="source_weights",
@@ -204,28 +186,25 @@ def sinkhorn_log(cost: np.ndarray, source_weights, target_weights, *,
     if epsilon <= 0.0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     max_iter = check_positive_int(max_iter, name="max_iter")
-    nx = get_backend(backend)
 
-    cost_d = nx.asarray(cost, dtype=nx.float64)
-    log_mu = nx.log(nx.maximum(nx.asarray(mu, dtype=nx.float64), 1e-300))
-    log_nu = nx.log(nx.maximum(nx.asarray(nu, dtype=nx.float64), 1e-300))
-    f = nx.zeros((mu.size,), dtype=nx.float64)
-    g = nx.zeros((nu.size,), dtype=nx.float64)
+    log_mu = np.log(np.maximum(mu, 1e-300))
+    log_nu = np.log(np.maximum(nu, 1e-300))
+    f = np.zeros(mu.size)
+    g = np.zeros(nu.size)
     residual = np.inf
     for iteration in range(1, max_iter + 1):
         # f-update: f_i = eps * (log mu_i - logsumexp_j((g_j - C_ij)/eps))
-        f = epsilon * (log_mu - nx.logsumexp(
-            (g[None, :] - cost_d) / epsilon, axis=1))
-        g = epsilon * (log_nu - nx.logsumexp(
-            (f[:, None] - cost_d) / epsilon, axis=0))
+        f = epsilon * (log_mu - logsumexp((g[None, :] - cost) / epsilon,
+                                          axis=1))
+        g = epsilon * (log_nu - logsumexp((f[:, None] - cost) / epsilon,
+                                          axis=0))
         if iteration % 5 == 0 or iteration == max_iter:
-            plan = nx.to_numpy(
-                nx.exp((f[:, None] + g[None, :] - cost_d) / epsilon))
+            plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
             residual = marginal_residual(plan, mu, nu)
             if residual <= tol:
                 return SinkhornResult(plan, iteration, residual, True,
                                       effective_epsilon=epsilon)
-    plan = nx.to_numpy(nx.exp((f[:, None] + g[None, :] - cost_d) / epsilon))
+    plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
     residual = marginal_residual(plan, mu, nu)
     if residual <= tol:
         return SinkhornResult(plan, max_iter, residual, True,
@@ -240,14 +219,14 @@ def sinkhorn_log(cost: np.ndarray, source_weights, target_weights, *,
 
 def batched_sinkhorn(cost_stack, source_weight_stack, target_weight_stack,
                      *, epsilon: float = 1e-2, max_iter: int = 10_000,
-                     tol: float = 1e-9, raise_on_failure: bool = True,
-                     backend=None) -> list:
+                     tol: float = 1e-9,
+                     raise_on_failure: bool = True) -> list:
     """Probability-domain Sinkhorn over a stack of same-shape problems.
 
     The vectorised counterpart of :func:`sinkhorn` — the whole batch
-    iterates as one ``(B, n, m)`` einsum chain on the selected backend,
-    with **per-problem convergence masking**: problems are checked on the
-    same five-iteration schedule as the serial solver, and each one is
+    iterates as one ``(B, n, m)`` einsum chain, with **per-problem
+    convergence masking**: problems are checked on the same
+    five-iteration schedule as the serial solver, and each one is
     frozen (and compacted out of the working stack) the moment its own
     marginal residual meets ``tol``, so a slow cell never perturbs — or
     pays for — an already-converged one.  Problems whose Gibbs kernel
@@ -269,7 +248,6 @@ def batched_sinkhorn(cost_stack, source_weight_stack, target_weight_stack,
     where the serial loop uses ``matmul``, so agreement is numerical,
     not bitwise).
     """
-    nx = get_backend(backend)
     cost_h, mu_h, nu_h = _check_batch_problem(
         cost_stack, source_weight_stack, target_weight_stack)
     if epsilon <= 0.0:
@@ -277,44 +255,42 @@ def batched_sinkhorn(cost_stack, source_weight_stack, target_weight_stack,
     max_iter = check_positive_int(max_iter, name="max_iter")
 
     B = mu_h.shape[0]
-    cost = nx.asarray(cost_h, dtype=nx.float64)
-    mu = nx.asarray(mu_h, dtype=nx.float64)
-    nu = nx.asarray(nu_h, dtype=nx.float64)
+    mu, nu = mu_h, nu_h
 
     # Per-problem cost rescaling, exactly like the serial solver.
-    scale = nx.maximum(nx.max(cost, axis=(1, 2)), 1e-300)
-    eff = np.broadcast_to(epsilon * nx.to_numpy(scale), (B,))
-    kernel = nx.exp(-cost / (epsilon * scale[:, None, None]))
+    scale = np.maximum(np.max(cost_h, axis=(1, 2)), 1e-300)
+    eff = np.broadcast_to(epsilon * scale, (B,))
+    kernel = np.exp(-cost_h / (epsilon * scale[:, None, None]))
     if kernel.shape[0] != B:
         # A shared (1, n, m) cost: materialise per-problem rows so
         # compaction can drop converged problems independently.
-        kernel = nx.concat([kernel] * B, axis=0)
+        kernel = np.concatenate([kernel] * B, axis=0)
 
-    u = nx.ones((B, mu_h.shape[1]), dtype=nx.float64)
-    v = nx.ones((B, nu_h.shape[1]), dtype=nx.float64)
-    bad = nx.asarray(np.zeros(B, dtype=bool))
+    u = np.ones((B, mu_h.shape[1]))
+    v = np.ones((B, nu_h.shape[1]))
+    bad = np.zeros(B, dtype=bool)
     state = _BatchState(B, max_iter)
     for iteration in range(1, max_iter + 1):
-        kv = nx.einsum("bij,bj->bi", kernel, v)
-        # Accumulate underflow flags on-device; the serial solver checks
-        # every iteration, the batch syncs only at checkpoints and the
-        # flagged problems restart in the log domain either way.
-        bad = nx.logical_or(bad, nx.any(kv <= 1e-300, axis=1))
-        u = mu / nx.maximum(kv, 1e-300)
-        ktu = nx.einsum("bij,bi->bj", kernel, u)
-        v = nu / nx.maximum(ktu, 1e-300)
+        kv = np.einsum("bij,bj->bi", kernel, v)
+        # Accumulate underflow flags; the serial solver checks every
+        # iteration, the batch only at checkpoints, and the flagged
+        # problems restart in the log domain either way.
+        bad = np.logical_or(bad, np.any(kv <= 1e-300, axis=1))
+        u = mu / np.maximum(kv, 1e-300)
+        ktu = np.einsum("bij,bi->bj", kernel, u)
+        v = nu / np.maximum(ktu, 1e-300)
         if iteration % 5 == 0 or iteration == max_iter:
             plan = (u[:, :, None] * kernel) * v[:, None, :]
-            keep = state.checkpoint(nx, plan, mu, nu, bad, iteration,
-                                    tol, final=iteration == max_iter)
+            keep = state.checkpoint(plan, mu, nu, bad, iteration, tol,
+                                    final=iteration == max_iter)
             if keep is None:
                 break
             if keep is _ALL_ACTIVE:
                 continue
-            kernel = nx.take(kernel, keep, axis=0)
-            u, v = nx.take(u, keep, axis=0), nx.take(v, keep, axis=0)
-            mu, nu = nx.take(mu, keep, axis=0), nx.take(nu, keep, axis=0)
-            bad = nx.take(bad, keep, axis=0)
+            kernel = kernel[keep]
+            u, v = u[keep], v[keep]
+            mu, nu = mu[keep], nu[keep]
+            bad = bad[keep]
 
     results = []
     for b in range(B):
@@ -325,7 +301,7 @@ def batched_sinkhorn(cost_stack, source_weight_stack, target_weight_stack,
                 cost_h[b] if cost_h.shape[0] == B else cost_h[0],
                 mu_h[b], nu_h[b], epsilon=float(eff[b]),
                 max_iter=max_iter, tol=tol,
-                raise_on_failure=raise_on_failure, backend=nx))
+                raise_on_failure=raise_on_failure))
             continue
         if not state.converged[b] and raise_on_failure:
             raise ConvergenceError(
@@ -343,8 +319,7 @@ def batched_sinkhorn(cost_stack, source_weight_stack, target_weight_stack,
 def batched_sinkhorn_log(cost_stack, source_weight_stack,
                          target_weight_stack, *, epsilon: float = 1e-2,
                          max_iter: int = 10_000, tol: float = 1e-9,
-                         raise_on_failure: bool = True,
-                         backend=None) -> list:
+                         raise_on_failure: bool = True) -> list:
     """Log-domain Sinkhorn over a stack of same-shape problems.
 
     The vectorised counterpart of :func:`sinkhorn_log`: stacked
@@ -358,7 +333,6 @@ def batched_sinkhorn_log(cost_stack, source_weight_stack,
     serial update (~1 ulp per sweep; the Sinkhorn contraction keeps it
     there).
     """
-    nx = get_backend(backend)
     cost_h, mu_h, nu_h = _check_batch_problem(
         cost_stack, source_weight_stack, target_weight_stack)
     if epsilon <= 0.0:
@@ -369,42 +343,35 @@ def batched_sinkhorn_log(cost_stack, source_weight_stack,
     # The engine iterates the epsilon-scaled potentials φ = f/ε, γ = g/ε
     # against the pre-divided cost C/ε: per half-sweep that leaves one
     # broadcast subtraction plus the stabilised soft-min — built from
-    # backend primitives rather than a library logsumexp, whose
+    # numpy primitives rather than a library logsumexp, whose
     # genericity (dtype promotion, masked/complex handling) costs more
     # than the math at this size.  Same updates as the serial solver up
     # to the distributed division (~1 ulp; the Sinkhorn map is a
     # contraction, so the difference never amplifies).
-    cost_eps = nx.asarray(np.broadcast_to(cost_h, (B,) + cost_h.shape[1:]),
-                          dtype=nx.float64) / epsilon
-    mu = nx.asarray(mu_h, dtype=nx.float64)
-    nu = nx.asarray(nu_h, dtype=nx.float64)
-    log_mu = nx.log(nx.maximum(mu, 1e-300))
-    log_nu = nx.log(nx.maximum(nu, 1e-300))
-    phi = nx.zeros((B, mu_h.shape[1]), dtype=nx.float64)
-    gamma = nx.zeros((B, nu_h.shape[1]), dtype=nx.float64)
+    cost_eps = np.broadcast_to(cost_h, (B,) + cost_h.shape[1:]) / epsilon
+    mu, nu = mu_h, nu_h
+    log_mu = np.log(np.maximum(mu, 1e-300))
+    log_nu = np.log(np.maximum(nu, 1e-300))
+    phi = np.zeros((B, mu_h.shape[1]))
+    gamma = np.zeros((B, nu_h.shape[1]))
     state = _BatchState(B, max_iter)
-    no_underflow = nx.asarray(np.zeros(B, dtype=bool))
+    no_underflow = np.zeros(B, dtype=bool)
     for iteration in range(1, max_iter + 1):
-        phi = log_mu - _stable_softmin(
-            nx, gamma[:, None, :] - cost_eps, axis=2)
-        gamma = log_nu - _stable_softmin(
-            nx, phi[:, :, None] - cost_eps, axis=1)
+        phi = log_mu - _stable_softmin(gamma[:, None, :] - cost_eps, axis=2)
+        gamma = log_nu - _stable_softmin(phi[:, :, None] - cost_eps, axis=1)
         if iteration % 5 == 0 or iteration == max_iter:
-            plan = nx.exp(phi[:, :, None] + gamma[:, None, :] - cost_eps)
-            keep = state.checkpoint(nx, plan, mu, nu, no_underflow,
-                                    iteration, tol,
-                                    final=iteration == max_iter)
+            plan = np.exp(phi[:, :, None] + gamma[:, None, :] - cost_eps)
+            keep = state.checkpoint(plan, mu, nu, no_underflow, iteration,
+                                    tol, final=iteration == max_iter)
             if keep is None:
                 break
             if keep is _ALL_ACTIVE:
                 continue
-            cost_eps = nx.take(cost_eps, keep, axis=0)
-            phi = nx.take(phi, keep, axis=0)
-            gamma = nx.take(gamma, keep, axis=0)
-            log_mu = nx.take(log_mu, keep, axis=0)
-            log_nu = nx.take(log_nu, keep, axis=0)
-            mu, nu = nx.take(mu, keep, axis=0), nx.take(nu, keep, axis=0)
-            no_underflow = nx.take(no_underflow, keep, axis=0)
+            cost_eps = cost_eps[keep]
+            phi, gamma = phi[keep], gamma[keep]
+            log_mu, log_nu = log_mu[keep], log_nu[keep]
+            mu, nu = mu[keep], nu[keep]
+            no_underflow = no_underflow[keep]
 
     results = []
     for b in range(B):
@@ -421,16 +388,15 @@ def batched_sinkhorn_log(cost_stack, source_weight_stack,
     return results
 
 
-def _stable_softmin(nx, arg, axis: int):
+def _stable_softmin(arg, axis: int):
     """Max-shifted ``logsumexp`` over one axis of a finite 3-D stack,
-    composed from backend primitives (the batched engines' hot loop —
+    composed from numpy primitives (the batched engines' hot loop —
     a library logsumexp's genericity dominates the math at design-cell
     sizes).  ``arg`` must be finite, which the Sinkhorn potentials and
     costs are by construction."""
-    shift = nx.max(arg, axis=axis, keepdims=True)
-    summed = nx.sum(nx.exp(arg - shift), axis=axis)
-    out_shape = tuple(d for i, d in enumerate(arg.shape) if i != axis)
-    return nx.log(summed) + nx.reshape(shift, out_shape)
+    shift = np.max(arg, axis=axis, keepdims=True)
+    summed = np.sum(np.exp(arg - shift), axis=axis)
+    return np.log(summed) + np.squeeze(shift, axis=axis)
 
 
 class _BatchState:
@@ -440,8 +406,8 @@ class _BatchState:
     residual/convergence record, and maps the compacted working stack
     back to original positions.  ``checkpoint`` freezes every problem
     that converged (or underflowed) at this check, and returns the
-    backend index array of the problems that stay active — or ``None``
-    when the stack is exhausted.
+    index array of the problems that stay active — or ``None`` when the
+    stack is exhausted.
     """
 
     def __init__(self, B: int, max_iter: int) -> None:
@@ -452,29 +418,27 @@ class _BatchState:
         self.underflowed = np.zeros(B, dtype=bool)
         self.active = np.arange(B)
 
-    def checkpoint(self, nx, plan, mu, nu, bad, iteration: int,
-                   tol: float, *, final: bool):
-        row_err = nx.max(nx.abs(nx.sum(plan, axis=2) - mu), axis=1)
-        col_err = nx.max(nx.abs(nx.sum(plan, axis=1) - nu), axis=1)
-        residual = np.maximum(nx.to_numpy(row_err), nx.to_numpy(col_err))
-        bad_h = np.asarray(nx.to_numpy(bad), dtype=bool)
-        done = (residual <= tol) & ~bad_h
-        freeze = done | bad_h if not final else np.ones_like(done)
+    def checkpoint(self, plan, mu, nu, bad, iteration: int, tol: float, *,
+                   final: bool):
+        row_err = np.max(np.abs(np.sum(plan, axis=2) - mu), axis=1)
+        col_err = np.max(np.abs(np.sum(plan, axis=1) - nu), axis=1)
+        residual = np.maximum(row_err, col_err)
+        done = (residual <= tol) & ~bad
+        freeze = done | bad if not final else np.ones_like(done)
         if not freeze.any():
             return _ALL_ACTIVE
-        plan_h = nx.to_numpy(plan)
         for pos in np.nonzero(freeze)[0]:
             b = self.active[pos]
-            self.plans[b] = np.array(plan_h[pos])
+            self.plans[b] = np.array(plan[pos])
             self.iterations[b] = iteration
             self.residuals[b] = residual[pos]
             self.converged[b] = done[pos]
-            self.underflowed[b] = bad_h[pos]
+            self.underflowed[b] = bad[pos]
         keep = ~freeze
         if not keep.any():
             return None
         self.active = self.active[keep]
-        return nx.asarray(np.nonzero(keep)[0], dtype=nx.int64)
+        return np.nonzero(keep)[0]
 
 
 #: Sentinel: "no problem froze at this checkpoint, keep the full stack".

@@ -62,7 +62,6 @@ from dataclasses import replace
 import numpy as np
 from scipy import sparse
 
-from ..core.backend import get_backend
 from ..exceptions import ConvergenceError, ValidationError
 from .cost import pointwise_cost
 from .coupling import (_SPARSE_SUPPORT_LIMIT, SPARSE_DENSITY_THRESHOLD,
@@ -154,7 +153,7 @@ def auto_method(problem: OTProblem) -> str:
 
 
 def solve(problem_or_cost, source_weights=None, target_weights=None, *,
-          method="auto", backend=None, source_support=None,
+          method="auto", source_support=None,
           target_support=None, support_mask=None, **opts) -> OTResult:
     """Solve a discrete optimal-transport problem.
 
@@ -168,15 +167,6 @@ def solve(problem_or_cost, source_weights=None, target_weights=None, *,
         :func:`~repro.ot.registry.available_solvers`), a callable
         ``fn(problem, **opts)``, a :class:`~repro.ot.registry.Solver`
         instance, or ``"auto"`` (structure-based dispatch).
-    backend:
-        Compute backend for the solver's vectorised kernels
-        (:func:`repro.core.backend.get_backend`): ``None``/``"auto"``
-        for the bit-identical numpy reference, or ``"torch"``/
-        ``"cupy"``/``"array_api_strict"``.  Offered with signature
-        filtering, like every other tuning knob: backend-aware solvers
-        (see :func:`~repro.ot.registry.backend_support`) receive it,
-        the scipy-bound ones (``"lp"``, ``"simplex"``, ...) ignore it.
-        Unknown backend names fail fast regardless of the solver.
     **opts:
         Forwarded verbatim to the resolved solver (e.g. ``epsilon`` for
         the entropic methods, ``k`` for ``"screened"``).
@@ -199,8 +189,6 @@ def solve(problem_or_cost, source_weights=None, target_weights=None, *,
             "them again alongside it")
     problem = as_problem(problem_or_cost, source_weights, target_weights,
                          **problem_kwargs)
-    if backend is not None:
-        get_backend(backend)  # typos fail fast, before any solving
     if isinstance(method, str) and method == "auto":
         # Dispatch here (rather than through the registered "auto"
         # solver) so the result reports the solver that actually ran,
@@ -208,22 +196,15 @@ def solve(problem_or_cost, source_weights=None, target_weights=None, *,
         # method="auto" reach entropic dispatch targets and are dropped
         # for exact ones.
         solver = resolve_solver(auto_method(problem))
-        if backend is not None:
-            opts = {**opts, "backend": backend}
         opts = filter_opts(solver, opts)
     else:
         solver = resolve_solver(method)
-        if backend is not None:
-            # Only the backend knob is signature-filtered here; explicit
-            # methods keep receiving their other opts verbatim.
-            opts = {**opts, **filter_opts(solver, {"backend": backend})}
     start = time.perf_counter()
     result = solver(problem, **opts)
     return result.with_timing(solver.name, time.perf_counter() - start)
 
 
-def solve_many(problems, *, method="auto", executor=None, backend=None,
-               **opts) -> list:
+def solve_many(problems, *, method="auto", executor=None, **opts) -> list:
     """Solve a batch of independent OT problems through one entry point.
 
     The batched counterpart of :func:`solve`, and the engine behind
@@ -254,15 +235,6 @@ def solve_many(problems, *, method="auto", executor=None, backend=None,
     problem — the registry's ``inspect.signature`` walk leaves the hot
     loop).  An explicit method receives ``opts`` verbatim, exactly like
     :func:`solve`.
-
-    ``backend`` selects the compute backend for the vectorised kernels
-    (see :func:`solve`); the whole batch then iterates as backend array
-    operations — the monotone staircase and the stacked Sinkhorn
-    kernels run end-to-end on the device and convert to NumPy/CSR only
-    at the :class:`~repro.ot.coupling.TransportPlan` boundary.  Like on
-    the facade, the knob is signature-filtered per solver, and the spec
-    (a plain string) — not a live backend object — is what travels to
-    executor workers, so process pools keep working.
 
     Results produced by a batch kernel additionally carry
     ``extras["batched"] = True`` and ``extras["batch_size"]``, and report
@@ -297,8 +269,6 @@ def solve_many(problems, *, method="auto", executor=None, backend=None,
         raise ValidationError(
             "executor must be None, an executor name, or an object with "
             "map(fn, iterable) — see repro.core.executor")
-    if backend is not None:
-        get_backend(backend)  # typos fail fast, before any solving
 
     # Group the batch per dispatched solver, filtering options once per
     # group (satellite of the batched-engine design: no per-cell
@@ -313,17 +283,11 @@ def solve_many(problems, *, method="auto", executor=None, backend=None,
         by_name: dict = {}
         for index, problem in enumerate(batch):
             by_name.setdefault(auto_method(problem), []).append(index)
-        candidates = (opts if backend is None
-                      else {**opts, "backend": backend})
         for name, indices in by_name.items():
             solver = resolve_solver(name)
-            groups.append((solver, filter_opts(solver, candidates),
-                           indices))
+            groups.append((solver, filter_opts(solver, opts), indices))
     else:
-        group_opts = dict(opts)
-        if backend is not None:
-            group_opts.update(filter_opts(resolved, {"backend": backend}))
-        groups.append((resolved, group_opts, list(range(len(batch)))))
+        groups.append((resolved, dict(opts), list(range(len(batch)))))
 
     results: list = [None] * len(batch)
     fallback = []
@@ -404,21 +368,16 @@ def _monotone_batchable(problem: OTProblem) -> bool:
     return problem.is_one_dimensional and problem.support_mask is None
 
 
-def _monotone_engine(problems, backend=None) -> tuple:
+def _monotone_engine(problems) -> tuple:
     """The monotone kernel shared by the serial and batched 'exact' paths.
 
     All ``problems`` must share one ``(n, m)`` shape and have 1-D
     unmasked supports.  Sorting, the staircase itself
     (:func:`~repro.ot.onedim.batched_north_west_corner`), the index
     un-sorting and the staircase-support gathers are each one array
-    dispatch over the whole stack **on the selected compute backend**
-    (:func:`repro.core.backend.get_backend`); results convert to numpy
-    exactly once, for the plan scatter and cost contraction at the
-    :class:`~repro.ot.coupling.TransportPlan` boundary.  On the default
-    numpy backend every operation is the historical one — bit-identical
-    results — and every per-row operation is independent of the batch
-    size, so a problem's plan and value are bit-identical whether it is
-    solved alone or inside any batch.
+    dispatch over the whole stack.  Every per-row operation is
+    independent of the batch size, so a problem's plan and value are
+    bit-identical whether it is solved alone or inside any batch.
 
     Returns ``(plans, values)``: a list of ``B`` independent ``(n, m)``
     plans (each problem owns its buffer, so retaining one result never
@@ -429,68 +388,61 @@ def _monotone_engine(problems, backend=None) -> tuple:
     and CSR arrays holding the ``<= n + m - 1`` staircase entries above
     it, so a cell of any size costs ``O(n + m)`` memory.
     """
-    nx = get_backend(backend)
     B = len(problems)
     n, m = problems[0].shape
-    xs = nx.asarray(np.stack([problem.source_support.ravel()
-                              for problem in problems]), dtype=nx.float64)
-    ys = nx.asarray(np.stack([problem.target_support.ravel()
-                              for problem in problems]), dtype=nx.float64)
-    order_x = nx.argsort(xs, axis=1)
-    order_y = nx.argsort(ys, axis=1)
-    mu_sorted = nx.take_along_axis(
-        nx.asarray(np.stack([problem.source_weights
-                             for problem in problems]), dtype=nx.float64),
+    xs = np.asarray(np.stack([problem.source_support.ravel()
+                              for problem in problems]), dtype=np.float64)
+    ys = np.asarray(np.stack([problem.target_support.ravel()
+                              for problem in problems]), dtype=np.float64)
+    order_x = np.argsort(xs, axis=1, kind="stable")
+    order_y = np.argsort(ys, axis=1, kind="stable")
+    mu_sorted = np.take_along_axis(
+        np.asarray(np.stack([problem.source_weights
+                             for problem in problems]), dtype=np.float64),
         order_x, axis=1)
-    nu_sorted = nx.take_along_axis(
-        nx.asarray(np.stack([problem.target_weights
-                             for problem in problems]), dtype=nx.float64),
+    nu_sorted = np.take_along_axis(
+        np.asarray(np.stack([problem.target_weights
+                             for problem in problems]), dtype=np.float64),
         order_y, axis=1)
-    srows, scols, masses = batched_north_west_corner(mu_sorted, nu_sorted,
-                                                     backend=nx)
+    srows, scols, masses = batched_north_west_corner(mu_sorted, nu_sorted)
     # Un-sort: staircase entry (i, j) of the sorted problem lands at the
     # original support positions.  Both scatters below accumulate, so
     # tie-induced zero-mass duplicates cannot clobber real entries.
-    rows = nx.take_along_axis(order_x, srows, axis=1)
-    cols = nx.take_along_axis(order_y, scols, axis=1)
-    x_at = nx.take_along_axis(xs, rows, axis=1)
-    y_at = nx.take_along_axis(ys, cols, axis=1)
-    rows_h = nx.to_numpy(rows)
-    cols_h = nx.to_numpy(cols)
-    masses_h = nx.to_numpy(masses)
+    rows = np.take_along_axis(order_x, srows, axis=1)
+    cols = np.take_along_axis(order_y, scols, axis=1)
+    x_at = np.take_along_axis(xs, rows, axis=1)
+    y_at = np.take_along_axis(ys, cols, axis=1)
     if n * m <= _SPARSE_SUPPORT_LIMIT:
-        flat = rows_h * m + cols_h
+        flat = rows * m + cols
         # Per-problem scatter (identical accumulation order to a lone
         # solve); each plan owns an independent buffer, which is both
         # allocator-friendly versus one B·n·m-sized bincount and lets a
         # caller keep one result without pinning the whole batch.
-        plans = [np.bincount(flat[b], weights=masses_h[b],
+        plans = [np.bincount(flat[b], weights=masses[b],
                              minlength=n * m).reshape(n, m)
                  for b in range(B)]
     else:
-        plans = [_staircase_csr(rows_h[b], cols_h[b], masses_h[b], (n, m))
+        plans = [_staircase_csr(rows[b], cols[b], masses[b], (n, m))
                  for b in range(B)]
     # O(n + m) pointwise cost on the staircase support — the dense cost
     # matrix is never built for metric problems.  On 1-D supports the
     # |x - y|^p family is elementwise, so a batch sharing one metric is
     # costed in a single dispatch, bit-identical to the per-pair
     # pointwise_cost evaluation.
-    x_at_h = nx.to_numpy(x_at)
-    y_at_h = nx.to_numpy(y_at)
     metrics = {(problem.metric, problem.p) if problem.has_metric_cost
                else None for problem in problems}
     if len(metrics) == 1 and None not in metrics:
         ((metric, p),) = metrics
-        cost_stack = _metric_cost_stack_1d(x_at_h - y_at_h, metric, p)
-        values = [float(np.dot(masses_h[b], cost_stack[b]))
+        cost_stack = _metric_cost_stack_1d(x_at - y_at, metric, p)
+        values = [float(np.dot(masses[b], cost_stack[b]))
                   for b in range(B)]
         return plans, values
     values = []
     for b, problem in enumerate(problems):
         if problem.has_metric_cost:
-            costs = pointwise_cost(x_at_h[b], y_at_h[b],
+            costs = pointwise_cost(x_at[b], y_at[b],
                                    metric=problem.metric, p=problem.p)
-            values.append(float(np.dot(masses_h[b], costs)))
+            values.append(float(np.dot(masses[b], costs)))
         else:
             values.append(None)
     return plans, values
@@ -522,15 +474,15 @@ def _metric_cost_stack_1d(diff: np.ndarray, metric: str,
     "exact", aliases=("monotone", "1d"),
     description="closed-form monotone coupling; optimal for 1-D supports "
                 "with convex |x-y|^p costs, O(n+m)")
-def _solve_exact(problem: OTProblem, *, backend=None) -> OTResult:
+def _solve_exact(problem: OTProblem) -> OTResult:
     """North-west-corner traversal of the sorted supports."""
     _check_monotone_problem(problem)
-    plans, values = _monotone_engine([problem], backend)
+    plans, values = _monotone_engine([problem])
     return _finish(problem, plans[0], value=values[0])
 
 
 @register_batch_solver("exact", when=_monotone_batchable)
-def _solve_exact_batch(batch: OTBatch, *, backend=None) -> list:
+def _solve_exact_batch(batch: OTBatch) -> list:
     """Vectorised monotone couplings for a same-shape 1-D batch.
 
     Result assembly is *trusted*: the kernel guarantees non-negative
@@ -543,7 +495,7 @@ def _solve_exact_batch(batch: OTBatch, *, backend=None) -> list:
     problems = list(batch)
     for problem in problems:
         _check_monotone_problem(problem)
-    plans, values = _monotone_engine(problems, backend)
+    plans, values = _monotone_engine(problems)
     results = []
     for b, problem in enumerate(problems):
         value = values[b]
@@ -619,13 +571,11 @@ def _solve_lp(problem: OTProblem) -> OTResult:
                 "scaling (auto-falls back to the log domain)")
 def _solve_sinkhorn(problem: OTProblem, *, epsilon: float = 1e-2,
                     max_iter: int = 10_000, tol: float = 1e-9,
-                    raise_on_failure: bool = False,
-                    backend=None) -> OTResult:
+                    raise_on_failure: bool = False) -> OTResult:
     outcome = _sinkhorn_impl(problem.cost_matrix(), problem.source_weights,
                              problem.target_weights, epsilon=epsilon,
                              max_iter=max_iter, tol=tol,
-                             raise_on_failure=raise_on_failure,
-                             backend=backend)
+                             raise_on_failure=raise_on_failure)
     return _finish(problem, outcome.plan, converged=outcome.converged,
                    n_iter=outcome.iterations,
                    extras={"epsilon": epsilon, "tol": tol})
@@ -634,8 +584,7 @@ def _solve_sinkhorn(problem: OTProblem, *, epsilon: float = 1e-2,
 @register_batch_solver("sinkhorn")
 def _solve_sinkhorn_batch(batch: OTBatch, *, epsilon: float = 1e-2,
                           max_iter: int = 10_000, tol: float = 1e-9,
-                          raise_on_failure: bool = False,
-                          backend=None) -> list:
+                          raise_on_failure: bool = False) -> list:
     """Stacked probability-domain Sinkhorn for a same-shape batch.
 
     All cells iterate as one ``(B, n, m)`` einsum chain
@@ -652,7 +601,7 @@ def _solve_sinkhorn_batch(batch: OTBatch, *, epsilon: float = 1e-2,
     outcomes = _batched_sinkhorn_impl(
         _entropic_cost_stack(batch), batch.source_weight_stack(),
         batch.target_weight_stack(), epsilon=epsilon, max_iter=max_iter,
-        tol=tol, raise_on_failure=raise_on_failure, backend=backend)
+        tol=tol, raise_on_failure=raise_on_failure)
     return [_finish(problem, outcome.plan, converged=outcome.converged,
                     n_iter=outcome.iterations,
                     extras={"epsilon": epsilon, "tol": tol})
@@ -665,14 +614,12 @@ def _solve_sinkhorn_batch(batch: OTBatch, *, epsilon: float = 1e-2,
                 "epsilon)")
 def _solve_sinkhorn_log(problem: OTProblem, *, epsilon: float = 1e-2,
                         max_iter: int = 10_000, tol: float = 1e-9,
-                        raise_on_failure: bool = False,
-                        backend=None) -> OTResult:
+                        raise_on_failure: bool = False) -> OTResult:
     outcome = _sinkhorn_log_impl(problem.cost_matrix(),
                                  problem.source_weights,
                                  problem.target_weights, epsilon=epsilon,
                                  max_iter=max_iter, tol=tol,
-                                 raise_on_failure=raise_on_failure,
-                                 backend=backend)
+                                 raise_on_failure=raise_on_failure)
     return _finish(problem, outcome.plan, converged=outcome.converged,
                    n_iter=outcome.iterations,
                    extras={"epsilon": epsilon, "tol": tol})
@@ -681,11 +628,10 @@ def _solve_sinkhorn_log(problem: OTProblem, *, epsilon: float = 1e-2,
 @register_batch_solver("sinkhorn_log")
 def _solve_sinkhorn_log_batch(batch: OTBatch, *, epsilon: float = 1e-2,
                               max_iter: int = 10_000, tol: float = 1e-9,
-                              raise_on_failure: bool = False,
-                              backend=None) -> list:
+                              raise_on_failure: bool = False) -> list:
     """Stacked log-domain Sinkhorn for a same-shape batch.
 
-    One backend ``logsumexp`` over the ``(B, n, m)`` stack per
+    One max-shifted soft-min over the ``(B, n, m)`` stack per
     half-sweep (:func:`repro.ot.sinkhorn.batched_sinkhorn_log`), with
     the same per-problem masking and per-problem cost stacking as the
     probability-domain kernel.
@@ -694,7 +640,7 @@ def _solve_sinkhorn_log_batch(batch: OTBatch, *, epsilon: float = 1e-2,
     outcomes = _batched_sinkhorn_log_impl(
         _entropic_cost_stack(batch), batch.source_weight_stack(),
         batch.target_weight_stack(), epsilon=epsilon, max_iter=max_iter,
-        tol=tol, raise_on_failure=raise_on_failure, backend=backend)
+        tol=tol, raise_on_failure=raise_on_failure)
     return [_finish(problem, outcome.plan, converged=outcome.converged,
                     n_iter=outcome.iterations,
                     extras={"epsilon": epsilon, "tol": tol})

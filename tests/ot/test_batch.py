@@ -463,50 +463,6 @@ class TestSinkhornBatchKernels:
             assert_result_pairs_identical(many, serial, atol=1e-12)
 
 
-class TestBackendThreading:
-    """backend= flows through solve/solve_many to the aware solvers and
-    is dropped (with fail-fast name validation) for the rest."""
-
-    def test_solve_many_backend_numpy_matches_default(self, rng):
-        problems = design_cells(rng, sizes=(10, 10, 14))
-        default = solve_many(problems, method="exact")
-        explicit = solve_many(problems, method="exact", backend="numpy")
-        for got, expected in zip(explicit, default):
-            np.testing.assert_array_equal(got.plan.matrix,
-                                          expected.plan.matrix)
-            assert got.value == expected.value
-            assert got.extras == expected.extras
-
-    def test_auto_offers_backend_to_dispatch_targets(self, rng):
-        problems = design_cells(rng, sizes=(10, 10))
-        results = solve_many(problems, method="auto", backend="numpy")
-        assert all(result.solver == "exact" for result in results)
-        serial = [solve(problem, method="auto") for problem in problems]
-        assert_result_pairs_identical(results, serial)
-
-    def test_backend_dropped_for_unaware_solvers(self, rng):
-        problems = design_cells(rng, sizes=(8, 8))
-        results = solve_many(problems, method="lp", backend="numpy")
-        serial = [solve(problem, method="lp") for problem in problems]
-        assert_result_pairs_identical(results, serial)
-
-    def test_unknown_backend_fails_fast(self, rng):
-        problems = design_cells(rng, sizes=(8,))
-        with pytest.raises(ValidationError, match="unknown backend"):
-            solve_many(problems, method="exact", backend="no-such-device")
-        with pytest.raises(ValidationError, match="unknown backend"):
-            solve(problems[0], method="lp", backend="no-such-device")
-
-    def test_backend_support_introspection(self):
-        from repro.ot import backend_support
-
-        support = backend_support()
-        for name in ("exact", "sinkhorn", "sinkhorn_log", "auto"):
-            assert support[name] is True, name
-        for name in ("simplex", "lp", "screened"):
-            assert support[name] is False, name
-
-
 # -- property-based: batch invariance of the exact solver ---------------------
 
 

@@ -8,7 +8,8 @@ import pytest
 from repro.exceptions import ConvergenceError, ValidationError
 from repro.ot.cost import squared_euclidean_cost
 from repro.ot.network_simplex import transport_simplex
-from repro.ot.sinkhorn import sinkhorn, sinkhorn_log, solve_sinkhorn
+from repro.ot.sinkhorn import (batched_sinkhorn, batched_sinkhorn_log,
+                               sinkhorn, sinkhorn_log, solve_sinkhorn)
 
 
 @pytest.fixture
@@ -90,6 +91,32 @@ class TestSinkhornLog:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="incompatible"):
             sinkhorn_log(np.zeros((2, 2)), [0.5, 0.5], [0.3, 0.3, 0.4])
+
+
+class TestBatchedSinkhorn:
+    @pytest.mark.parametrize("engine,serial", [
+        (batched_sinkhorn, sinkhorn),
+        (batched_sinkhorn_log, sinkhorn_log),
+    ])
+    def test_matches_serial_per_problem(self, rng, engine, serial):
+        """A stack with one cost per problem agrees with the serial
+        solver run on each problem alone."""
+        B, n = 4, 11
+        costs = np.stack([
+            (np.sort(rng.normal(size=(n, 1)), axis=0)
+             - np.sort(rng.normal(size=(n, 1)), axis=0).T) ** 2
+            for _ in range(B)])
+        mus = rng.dirichlet(np.ones(n), size=B)
+        nus = rng.dirichlet(np.ones(n), size=B)
+        outcomes = engine(costs, mus, nus, epsilon=5e-2, tol=1e-10,
+                          raise_on_failure=False)
+        for b, outcome in enumerate(outcomes):
+            reference = serial(costs[b], mus[b], nus[b], epsilon=5e-2,
+                               tol=1e-10, raise_on_failure=False)
+            assert outcome.converged == reference.converged
+            assert outcome.iterations == reference.iterations
+            np.testing.assert_allclose(outcome.plan, reference.plan,
+                                       atol=1e-9)
 
 
 class TestSolveSinkhornWrapper:

@@ -187,25 +187,7 @@ class TestExperimentCommand:
             assert args.artefact == artefact
 
 
-class TestBackendAndDtypeFlags:
-    def test_design_backend_flag_recorded_in_metadata(self, sample_csv,
-                                                      tmp_path, capsys):
-        data_path, _ = sample_csv
-        plan_path = tmp_path / "plan.npz"
-        assert main(["design", str(data_path), str(plan_path),
-                     "--n-states", "20", "--backend", "numpy"]) == 0
-        assert "backend numpy" in capsys.readouterr().out
-        from repro.core.serialize import load_plan
-        assert load_plan(plan_path).metadata["backend"] == "numpy"
-
-    def test_design_rejects_unknown_backend_before_reading_csv(
-            self, tmp_path, capsys):
-        assert main(["design", str(tmp_path / "absent.csv"),
-                     str(tmp_path / "plan.npz"),
-                     "--backend", "not-a-backend"]) == 1
-        err = capsys.readouterr().err
-        assert "unknown backend" in err
-
+class TestDtypeFlags:
     def test_design_plan_dtype_float32_round_trips(self, sample_csv,
                                                    tmp_path, capsys):
         data_path, _ = sample_csv
@@ -224,11 +206,6 @@ class TestBackendAndDtypeFlags:
         assert main(["repair", str(plan_path), str(data_path),
                      str(out_path), "--seed", "1"]) == 0
         assert out_path.exists()
-
-    def test_backends_command_lists_numpy(self, capsys):
-        assert main(["backends"]) == 0
-        output = capsys.readouterr().out
-        assert "numpy (default)" in output
 
 
 class TestSolversCommand:
